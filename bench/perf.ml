@@ -7,6 +7,7 @@
 
      dune exec bench/perf.exe -- --smoke --label "PR 4 baseline"
      dune exec bench/perf.exe -- --smoke --digest-only   # CI determinism gate
+     dune exec bench/perf.exe -- --digest-only --journal # journaled gate
 
    Reported per entry:
    - events/sec            simulator events retired per wall-clock second
@@ -57,7 +58,50 @@ let canonical_report (r : Report.t) =
     r.Report.per_instance;
   Buffer.contents b
 
-let report_digest r = Rcc_crypto.Sha256.hex_digest (canonical_report r)
+let report_digest ?(extra = "") r =
+  Rcc_crypto.Sha256.hex_digest (canonical_report r ^ extra)
+
+(* --- journaled smoke ---------------------------------------------------- *)
+
+(* With [--journal] every replica keeps a write-ahead journal, and one
+   backup (not a primary, so ordering never stalls) gets a lying disk,
+   crashes and restarts from that disk mid-run. The digest then also pins
+   the journal counters (records, group-commit flushes, bytes, snapshots,
+   injected faults) and the recovery verdict: how far the replay got and
+   how many torn/corrupt bytes it dropped. *)
+let journal_victim = 9
+let journal_faults_at = Engine.of_seconds 1.3
+let journal_crash_at = Engine.of_seconds 1.4
+let journal_restart_at = Engine.of_seconds 1.45
+
+let journal_script cluster =
+  let engine = Rcc_runtime.Cluster.engine cluster in
+  let recovery = ref None in
+  Engine.schedule_at engine journal_faults_at (fun () ->
+      Rcc_runtime.Cluster.set_storage_faults cluster journal_victim 0.02);
+  Engine.schedule_at engine journal_crash_at (fun () ->
+      Net.set_dead (Rcc_runtime.Cluster.net cluster) journal_victim true);
+  Engine.schedule_at engine journal_restart_at (fun () ->
+      recovery := Rcc_runtime.Cluster.restart_from_disk cluster journal_victim);
+  recovery
+
+let canonical_journal (r : Report.t) recovery =
+  let b = Buffer.create 256 in
+  Printf.bprintf b
+    "jrn appends=%d flushes=%d bytes=%d snapshots=%d faults=%d restarts=%d \
+     replayed=%d txns=%d\n"
+    r.Report.jrn_appends r.Report.jrn_flushes r.Report.jrn_bytes
+    r.Report.jrn_snapshots r.Report.jrn_faults r.Report.jrn_restarts
+    r.Report.jrn_replayed_rounds r.Report.jrn_replayed_txns;
+  (match recovery with
+  | None -> Buffer.add_string b "recovery none\n"
+  | Some (rv : Rcc_journal.Journal.recovery) ->
+      Printf.bprintf b
+        "recovery frontier=%d snapshot=%d rounds=%d txns=%d dropped=%d \
+         replied=%d\n"
+        rv.r_frontier rv.r_snapshot_seq rv.r_replayed_rounds
+        rv.r_replayed_txns rv.r_dropped_bytes (List.length rv.r_replied));
+  Buffer.contents b
 
 (* --- smoke cluster ------------------------------------------------------ *)
 
@@ -70,23 +114,30 @@ type smoke = {
   s_digest : string;
 }
 
-let smoke_config ~duration ~clients =
+let smoke_config ~duration ~clients ~journal =
   Config.make ~protocol:Config.MultiP ~n:16 ~batch_size:100 ~clients
-    ~duration ~warmup:(Engine.of_seconds 0.15) ~seed:42 ()
+    ~duration ~warmup:(Engine.of_seconds 0.15) ~seed:42 ~journal ()
 
-let run_smoke ~duration ~clients =
-  let cfg = smoke_config ~duration ~clients in
+let run_smoke ?(journal = false) ~duration ~clients () =
+  let cfg = smoke_config ~duration ~clients ~journal in
   Gc.full_major ();
   let words0 = Gc.minor_words () in
-  let report = Rcc_runtime.Cluster.run_config cfg in
+  let cluster = Rcc_runtime.Cluster.build cfg in
+  let recovery = if journal then Some (journal_script cluster) else None in
+  let report = Rcc_runtime.Cluster.run cluster in
   let words1 = Gc.minor_words () in
+  let extra =
+    match recovery with
+    | Some rv -> canonical_journal report !rv
+    | None -> ""
+  in
   {
     s_events = report.Report.sim_events;
     s_wall = report.Report.wall_seconds;
     s_sim_ns = duration;
     s_minor_words = words1 -. words0;
     s_throughput = report.Report.throughput;
-    s_digest = report_digest report;
+    s_digest = report_digest ~extra report;
   }
 
 (* --- microbenches ------------------------------------------------------- *)
@@ -257,6 +308,7 @@ let () =
   (* 120 is the historical smoke population; --clients 240 is the second
      determinism gate (the default closed-loop sweep population). *)
   let clients = ref 120 in
+  let journal = ref false in
   let rec parse = function
     | [] -> ()
     | "--smoke" :: rest ->
@@ -274,21 +326,26 @@ let () =
     | "--clients" :: c :: rest ->
         clients := int_of_string c;
         parse rest
+    | "--journal" :: rest ->
+        journal := true;
+        parse rest
     | arg :: _ ->
         Printf.eprintf
           "unknown argument %S\n\
            usage: perf.exe [--smoke] [--digest-only] [--clients N] \
-           [--label STR] [--out FILE]\n"
+           [--journal] [--label STR] [--out FILE]\n"
           arg;
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
   let duration =
-    Engine.of_seconds (if !smoke_only || !digest_only then 0.5 else 2.0)
+    Engine.of_seconds
+      (if !journal then 1.6 else if !smoke_only || !digest_only then 0.5
+       else 2.0)
   in
   if !digest_only then begin
     (* CI determinism gate: print only the fixed-seed report digest. *)
-    let smoke = run_smoke ~duration ~clients:!clients in
+    let smoke = run_smoke ~journal:!journal ~duration ~clients:!clients () in
     print_string smoke.s_digest;
     print_newline ()
   end
@@ -300,7 +357,7 @@ let () =
     in
     Printf.eprintf "[simperf] smoke cluster (%.1fs simulated)...\n%!"
       (Engine.to_seconds duration);
-    let smoke = run_smoke ~duration ~clients:!clients in
+    let smoke = run_smoke ~journal:!journal ~duration ~clients:!clients () in
     Printf.eprintf
       "[simperf]   %d events in %.2fs wall = %.0f events/s, %.2f words/event\n%!"
       smoke.s_events smoke.s_wall

@@ -35,36 +35,15 @@ let xor a b =
   done;
   Bytes.unsafe_to_string out
 
-let put_u32be b off v =
-  Bytes.set b off (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xff));
-  Bytes.set b (off + 2) (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xff));
-  Bytes.set b (off + 3) (Char.chr (Int32.to_int v land 0xff))
-
-let get_u32be s off =
-  let b i = Int32.of_int (Char.code s.[off + i]) in
-  Int32.logor
-    (Int32.shift_left (b 0) 24)
-    (Int32.logor
-       (Int32.shift_left (b 1) 16)
-       (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
-
-let put_u64be b off v =
-  for i = 0 to 7 do
-    Bytes.set b (off + i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * (7 - i))) land 0xff))
-  done
-
-let get_u64be s off =
-  let rec go i acc =
-    if i = 8 then acc
-    else
-      go (i + 1)
-        (Int64.logor (Int64.shift_left acc 8) (Int64.of_int (Char.code s.[off + i])))
-  in
-  go 0 0L
+(* Big-endian fixed-width fields via the stdlib's unboxed primitives:
+   bit-identical to a byte-by-byte shift loop, without boxing an [Int64]
+   per byte. *)
+let put_u32be b off v = Bytes.set_int32_be b off v
+let get_u32be s off = String.get_int32_be s off
+let put_u64be b off v = Bytes.set_int64_be b off v
+let get_u64be s off = String.get_int64_be s off
 
 let u64_string v =
   let b = Bytes.create 8 in
-  put_u64be b 0 v;
+  Bytes.set_int64_be b 0 v;
   Bytes.unsafe_to_string b

@@ -14,6 +14,11 @@ val finalize : ctx -> string
 val digest : string -> string
 (** One-shot digest of a full message. *)
 
+val digest_sub : string -> off:int -> len:int -> string
+(** [digest_sub s ~off ~len] = [digest (String.sub s off len)], hashing
+    the range in place. Raises [Invalid_argument] if the range does not
+    lie within [s]. *)
+
 val digest_list : string list -> string
 (** Digest of the concatenation, without materializing it. *)
 

@@ -9,70 +9,146 @@ let record_magic = "RJL1"
 let snap_magic = "RJS1"
 let checksum_len = 8
 let max_body = 16_777_216
+let txn_size = Rcc_workload.Txn.encoded_size
 
 (* Group-commit policy: flush at most [flush_interval] after the first
    buffered record, or immediately once [flush_bytes] accumulate. *)
 let flush_interval = Engine.us 200
 let flush_bytes = 65_536
 
+(* --- framing -------------------------------------------------------------- *)
+
+(* Records and snapshot blobs share one frame:
+   [prefix | u64 body length | checksum | body], where [prefix] is the
+   record magic plus a type byte, or the snapshot magic alone, and the
+   checksum is the first [checksum_len] bytes of the SHA-256 of the
+   body's first [covered] bytes. *)
+let header_len prefix = String.length prefix + 8 + checksum_len
+let record_prefix kind = record_magic ^ String.make 1 kind
+
+let checksum s ~off ~len =
+  String.sub (Rcc_crypto.Sha256.digest_sub s ~off ~len) 0 checksum_len
+
+(* Fill in the header of [frame], whose body is already in place. *)
+let seal frame ~prefix ~covered =
+  let h = header_len prefix in
+  let sum = checksum (Bytes.unsafe_to_string frame) ~off:h ~len:covered in
+  Bytes.blit_string prefix 0 frame 0 (String.length prefix);
+  Bytes.set_int64_be frame (String.length prefix)
+    (Int64.of_int (Bytes.length frame - h));
+  Bytes.blit_string sum 0 frame (h - checksum_len) checksum_len;
+  Bytes.unsafe_to_string frame
+
+(* The body [(offset, length)] of the frame at [pos] in [s], if [s]
+   holds a whole frame there that starts with [prefix]. *)
+let frame_body s ~pos ~prefix =
+  let h = header_len prefix in
+  let plen = String.length prefix in
+  if pos + h > String.length s then None
+  else if not (String.equal (String.sub s pos plen) prefix) then None
+  else
+    let len = Int64.to_int (String.get_int64_be s (pos + plen)) in
+    if len < 0 || len > String.length s - pos - h then None
+    else Some (pos + h, len)
+
+let checksum_ok s ~pos ~prefix ~covered =
+  let h = header_len prefix in
+  String.equal
+    (String.sub s (pos + h - checksum_len) checksum_len)
+    (checksum s ~off:(pos + h) ~len:covered)
+
 (* --- record encoding ---------------------------------------------------- *)
 
-let w_int buf v = Buffer.add_string buf (Bytes_util.u64_string (Int64.of_int v))
+(* A round record's body is an envelope followed by a txn tail. The
+   envelope holds the round, the primaries and, per slot, instance,
+   speculative flag, certificate, batch id, client, txn count, digest and
+   signature; the tail holds every slot's 24-byte txn encodings, in slot
+   order. The frame checksum covers the envelope only; each non-empty
+   txn run in the tail is authenticated by the batch digest the envelope
+   carries, which is the SHA-256 of exactly those encodings
+   ({!Batch.compute_digest}). Every body byte is thus covered by SHA-256,
+   without hashing the bulk of the record twice per write. *)
 
-let w_string buf s =
-  w_int buf (String.length s);
-  Buffer.add_string buf s
+type writer = { buf : Bytes.t; mutable pos : int }
 
-let w_int_list buf l =
-  w_int buf (List.length l);
-  List.iter (w_int buf) l
+let w_int w v =
+  Bytes.set_int64_be w.buf w.pos (Int64.of_int v);
+  w.pos <- w.pos + 8
 
-let w_batch buf (b : Batch.t) =
-  w_int buf b.Batch.id;
-  w_int buf b.Batch.client;
-  w_int buf (Array.length b.Batch.txns);
-  Array.iter
-    (fun txn -> Buffer.add_string buf (Rcc_workload.Txn.encode txn))
-    b.Batch.txns;
-  w_string buf b.Batch.digest;
-  w_string buf b.Batch.signature
+let w_string w s =
+  w_int w (String.length s);
+  Bytes.blit_string s 0 w.buf w.pos (String.length s);
+  w.pos <- w.pos + String.length s
 
-(* [frame kind body]: magic | kind | u64 length | sha256-prefix | body.
-   The checksum covers the body only; the header fields are validated
-   structurally (magic match, sane length). *)
-let frame kind body =
-  let buf = Buffer.create (String.length body + 21) in
-  Buffer.add_string buf record_magic;
-  Buffer.add_char buf kind;
-  w_int buf (String.length body);
-  Buffer.add_string buf
-    (String.sub (Rcc_crypto.Sha256.digest body) 0 checksum_len);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+let w_int_list w l =
+  w_int w (List.length l);
+  List.iter (w_int w) l
+
+let int_list_size l = 8 * (1 + List.length l)
+
+let slot_envelope_size (a : Acceptance.t) =
+  let b = a.batch in
+  8 + 1 + int_list_size a.cert
+  + (3 * 8) (* id, client, txn count *)
+  + (8 + String.length b.Batch.digest)
+  + (8 + String.length b.Batch.signature)
+
+(* Encode a frame whose body is [size] bytes with its first [covered]
+   bytes checksummed, writing the body with [fill]; one allocation. *)
+let encode_frame ~prefix ~size ~covered fill =
+  let h = header_len prefix in
+  let w = { buf = Bytes.create (h + size); pos = h } in
+  fill w;
+  assert (w.pos = Bytes.length w.buf);
+  seal w.buf ~prefix ~covered
 
 let round_record ~round ~primaries (ordered : Acceptance.t array) =
-  let buf = Buffer.create 512 in
-  w_int buf round;
-  w_int_list buf primaries;
-  w_int buf (Array.length ordered);
-  Array.iter
-    (fun (a : Acceptance.t) ->
-      w_int buf a.instance;
-      Buffer.add_char buf (if a.speculative then '\x01' else '\x00');
-      w_int_list buf a.cert;
-      w_batch buf a.batch)
-    ordered;
-  frame 'R' (Buffer.contents buf)
+  let envelope =
+    Array.fold_left
+      (fun acc a -> acc + slot_envelope_size a)
+      (8 + int_list_size primaries + 8)
+      ordered
+  in
+  let tail =
+    Array.fold_left
+      (fun acc (a : Acceptance.t) ->
+        acc + (txn_size * Array.length a.batch.Batch.txns))
+      0 ordered
+  in
+  encode_frame ~prefix:(record_prefix 'R') ~size:(envelope + tail)
+    ~covered:envelope (fun w ->
+      w_int w round;
+      w_int_list w primaries;
+      w_int w (Array.length ordered);
+      Array.iter
+        (fun (a : Acceptance.t) ->
+          let b = a.batch in
+          w_int w a.instance;
+          Bytes.set w.buf w.pos (if a.speculative then '\x01' else '\x00');
+          w.pos <- w.pos + 1;
+          w_int_list w a.cert;
+          w_int w b.Batch.id;
+          w_int w b.Batch.client;
+          w_int w (Array.length b.Batch.txns);
+          w_string w b.Batch.digest;
+          w_string w b.Batch.signature)
+        ordered;
+      Array.iter
+        (fun (a : Acceptance.t) ->
+          Array.iter
+            (fun txn ->
+              Rcc_workload.Txn.encode_into w.buf w.pos txn;
+              w.pos <- w.pos + txn_size)
+            a.batch.Batch.txns)
+        ordered)
 
-let int_record kind v =
-  let buf = Buffer.create 8 in
-  w_int buf v;
-  frame kind (Buffer.contents buf)
+let small_record kind l =
+  let size = 8 * List.length l in
+  encode_frame ~prefix:(record_prefix kind) ~size ~covered:size (fun w ->
+      List.iter (w_int w) l)
 
-let view_record primaries =
-  let buf = Buffer.create 16 in
-  w_int_list buf primaries;
-  frame 'V' (Buffer.contents buf)
+let int_record kind v = small_record kind [ v ]
+let view_record primaries = small_record 'V' (List.length primaries :: primaries)
 
 (* --- writer ------------------------------------------------------------- *)
 
@@ -189,14 +265,11 @@ let log_stable t ~floor = append t (int_record 'A' floor)
 let write_snapshot t ~seq snapshot =
   if not t.halted then begin
     let body = Rcc_storage.Snapshot.encode snapshot in
+    let len = String.length body in
     let blob =
-      let buf = Buffer.create (String.length body + 20) in
-      Buffer.add_string buf snap_magic;
-      w_int buf (String.length body);
-      Buffer.add_string buf
-        (String.sub (Rcc_crypto.Sha256.digest body) 0 checksum_len);
-      Buffer.add_string buf body;
-      Buffer.contents buf
+      encode_frame ~prefix:snap_magic ~size:len ~covered:len (fun w ->
+          Bytes.blit_string body 0 w.buf w.pos len;
+          w.pos <- w.pos + len)
     in
     Cpu.submit t.io ~cost:(io_cost t (String.length blob)) (fun () ->
         if not t.halted then begin
@@ -228,13 +301,14 @@ let durable_round t = t.durable
 
 exception Bad of string
 
-type reader = { buf : string; mutable pos : int }
+(* A cursor over one record body: [buf.[pos .. limit)]. *)
+type reader = { buf : string; mutable pos : int; limit : int }
 
-let need r n = if r.pos + n > String.length r.buf then raise (Bad "truncated")
+let need r n = if n > r.limit - r.pos then raise (Bad "truncated")
 
 let r_int r =
   need r 8;
-  let v = Int64.to_int (Bytes_util.get_u64be r.buf r.pos) in
+  let v = Int64.to_int (String.get_int64_be r.buf r.pos) in
   r.pos <- r.pos + 8;
   v
 
@@ -249,6 +323,7 @@ let r_string r =
 let r_int_list r =
   let len = r_int r in
   if len < 0 || len > 1_000_000 then raise (Bad "bad list length");
+  need r (8 * len);
   List.init len (fun _ -> r_int r)
 
 let r_bool r =
@@ -260,31 +335,27 @@ let r_bool r =
   | '\x01' -> true
   | _ -> raise (Bad "bad boolean")
 
-let r_batch r =
-  let id = r_int r in
-  let client = r_int r in
-  let ntxns = r_int r in
-  if ntxns < 0 || ntxns > 1_000_000 then raise (Bad "bad txn count");
-  let txns =
-    Array.init ntxns (fun _ ->
-        need r Rcc_workload.Txn.encoded_size;
-        match Rcc_workload.Txn.decode r.buf r.pos with
-        | Ok txn ->
-            r.pos <- r.pos + Rcc_workload.Txn.encoded_size;
-            txn
-        | Error e -> raise (Bad e))
-  in
-  let digest = r_string r in
-  let signature = r_string r in
-  {
-    Batch.id;
-    client;
-    txns;
-    digest;
-    signature;
-    wire = Batch.wire_size ~ntxns;
-    keys = None;
-  }
+(* One batch's txn run from the tail, accepted only if it hashes to the
+   digest the (already authenticated) envelope carries. *)
+let r_txns r ~ntxns ~digest =
+  if ntxns = 0 then [||]
+  else begin
+    let len = ntxns * txn_size in
+    need r len;
+    if
+      not
+        (String.equal digest
+           (Rcc_crypto.Sha256.digest_sub r.buf ~off:r.pos ~len))
+    then raise (Bad "txn digest mismatch");
+    let txns =
+      Array.init ntxns (fun i ->
+          match Rcc_workload.Txn.decode r.buf (r.pos + (i * txn_size)) with
+          | Ok txn -> txn
+          | Error e -> raise (Bad e))
+    in
+    r.pos <- r.pos + len;
+    txns
+  end
 
 type slot_rec = {
   sr_instance : int;
@@ -305,66 +376,92 @@ type record =
   | Rollback of int
   | View of int list
 
-let parse_body kind body =
-  let r = { buf = body; pos = 0 } in
-  let record =
-    match kind with
+(* Read one slot's envelope fields; the returned thunk reads its txns
+   from the tail, once the whole envelope has been authenticated. *)
+let r_slot r =
+  let sr_instance = r_int r in
+  let sr_speculative = r_bool r in
+  let sr_cert = r_int_list r in
+  let id = r_int r in
+  let client = r_int r in
+  let ntxns = r_int r in
+  if ntxns < 0 || ntxns > 1_000_000 then raise (Bad "bad txn count");
+  let digest = r_string r in
+  let signature = r_string r in
+  fun () ->
+    let txns = r_txns r ~ntxns ~digest in
+    {
+      sr_instance;
+      sr_speculative;
+      sr_cert;
+      sr_batch =
+        {
+          Batch.id;
+          client;
+          txns;
+          digest;
+          signature;
+          wire = Batch.wire_size ~ntxns;
+          keys = None;
+        };
+    }
+
+(* Parse the record whose [len]-byte body starts at [off] in [s] and
+   whose frame starts at [pos]: read the envelope, authenticate it
+   against the frame checksum, then finish the record from the tail
+   (round records: each txn run against its batch digest). Raises [Bad]
+   on any mismatch. *)
+let parse_record s ~pos ~prefix ~off ~len =
+  let r = { buf = s; pos = off; limit = off + len } in
+  let finish =
+    match prefix.[String.length record_magic] with
     | 'R' ->
         let rr_round = r_int r in
         let rr_primaries = r_int_list r in
         let nslots = r_int r in
         if nslots < 0 || nslots > 10_000 then raise (Bad "bad slot count");
-        let rr_slots =
-          List.init nslots (fun _ ->
-              let sr_instance = r_int r in
-              let sr_speculative = r_bool r in
-              let sr_cert = r_int_list r in
-              let sr_batch = r_batch r in
-              { sr_instance; sr_speculative; sr_cert; sr_batch })
-        in
-        Round { rr_round; rr_primaries; rr_slots }
-    | 'A' -> Attest (r_int r)
-    | 'B' -> Rollback (r_int r)
-    | 'V' -> View (r_int_list r)
+        let slots = List.init nslots (fun _ -> r_slot r) in
+        fun () ->
+          Round { rr_round; rr_primaries; rr_slots = List.map (fun k -> k ()) slots }
+    | 'A' ->
+        let floor = r_int r in
+        fun () -> Attest floor
+    | 'B' ->
+        let frontier = r_int r in
+        fun () -> Rollback frontier
+    | 'V' ->
+        let primaries = r_int_list r in
+        fun () -> View primaries
     | _ -> raise (Bad "unknown record type")
   in
-  if r.pos <> String.length body then raise (Bad "trailing bytes");
+  if not (checksum_ok s ~pos ~prefix ~covered:(r.pos - off)) then
+    raise (Bad "checksum mismatch");
+  let record = finish () in
+  if r.pos <> r.limit then raise (Bad "trailing bytes");
   record
 
 (* Scan the journal area, returning the longest valid record prefix and
    the bytes dropped past the first torn / corrupt / malformed record.
-   A checksum mismatch anywhere stops the scan — a lying disk gets its
-   suffix truncated, never trusted. *)
+   A checksum or digest mismatch anywhere stops the scan — a lying disk
+   gets its suffix truncated, never trusted. *)
 let scan journal =
   let total = String.length journal in
-  let header_len = String.length record_magic + 1 + 8 + checksum_len in
+  let magic_len = String.length record_magic in
   let records = ref [] in
   let pos = ref 0 in
   let ok = ref true in
-  while !ok && !pos + header_len <= total do
+  while !ok && !pos + header_len (record_prefix 'R') <= total do
     let p = !pos in
-    if not (String.equal (String.sub journal p 4) record_magic) then ok := false
-    else begin
-      let kind = journal.[p + 4] in
-      let len = Int64.to_int (Bytes_util.get_u64be journal (p + 5)) in
-      if len < 0 || len > max_body || p + header_len + len > total then
-        ok := false
-      else begin
-        let sum = String.sub journal (p + 13) checksum_len in
-        let body = String.sub journal (p + header_len) len in
-        if
-          not
-            (String.equal sum
-               (String.sub (Rcc_crypto.Sha256.digest body) 0 checksum_len))
-        then ok := false
-        else
-          match parse_body kind body with
-          | record ->
-              records := record :: !records;
-              pos := p + header_len + len
-          | exception Bad _ -> ok := false
-      end
-    end
+    let prefix = record_prefix journal.[p + magic_len] in
+    match frame_body journal ~pos:p ~prefix with
+    | None -> ok := false
+    | Some (_, len) when len > max_body -> ok := false
+    | Some (off, len) -> (
+        match parse_record journal ~pos:p ~prefix ~off ~len with
+        | record ->
+            records := record :: !records;
+            pos := off + len
+        | exception Bad _ -> ok := false)
   done;
   (* Trailing bytes shorter than a header are a torn tail, too. *)
   (List.rev !records, total - !pos)
@@ -385,27 +482,17 @@ type recovery = {
    one. *)
 let load_snapshot disk ~primaries =
   let unwrap blob =
-    let header = String.length snap_magic + 8 + checksum_len in
-    if String.length blob < header then None
-    else if not (String.equal (String.sub blob 0 4) snap_magic) then None
-    else
-      let len = Int64.to_int (Bytes_util.get_u64be blob 4) in
-      if len < 0 || String.length blob <> header + len then None
-      else
-        let sum = String.sub blob 12 checksum_len in
-        let body = String.sub blob header len in
-        if
-          not
-            (String.equal sum
-               (String.sub (Rcc_crypto.Sha256.digest body) 0 checksum_len))
-        then None
-        else
-          match Rcc_storage.Snapshot.decode body with
-          | Ok snap -> (
-              match Rcc_storage.Snapshot.verify ~primaries snap with
-              | Ok _ -> Some snap
-              | Error _ -> None)
-          | Error _ -> None
+    match frame_body blob ~pos:0 ~prefix:snap_magic with
+    | Some (off, len)
+      when off + len = String.length blob
+           && checksum_ok blob ~pos:0 ~prefix:snap_magic ~covered:len -> (
+        match Rcc_storage.Snapshot.decode (String.sub blob off len) with
+        | Ok snap -> (
+            match Rcc_storage.Snapshot.verify ~primaries snap with
+            | Ok _ -> Some snap
+            | Error _ -> None)
+        | Error _ -> None)
+    | _ -> None
   in
   List.fold_left
     (fun acc (_, blob) -> match acc with Some _ -> acc | None -> unwrap blob)

@@ -18,10 +18,20 @@
     is left to state transfer.
 
     Record framing: each record is [magic "RJL1" | type byte | u64 body
-    length | 8-byte SHA-256 prefix of the body | body]. Snapshot slots
-    use the same discipline with magic "RJS1" around a
-    {!Rcc_storage.Snapshot.encode} blob, because [Snapshot.verify] pins
-    the chain but not the KV/reply bytes. *)
+    length | 8-byte checksum | body]. A round record's body is an
+    envelope — round, primaries and, per slot, instance, speculative
+    flag, certificate, batch id, client, txn count, digest and signature
+    — followed by a txn tail holding every slot's 24-byte txn encodings
+    in slot order. The checksum is the SHA-256 prefix of the envelope
+    only; recovery then checks each non-empty txn run against the batch
+    digest the authenticated envelope carries (a batch digest is the
+    SHA-256 of exactly those encodings). Every stored byte is covered by
+    SHA-256, and the payload by the full 32 bytes, while a write hashes
+    only the small envelope. Other records (rollback, stable, view) are
+    all envelope. Snapshot slots use the same frame with magic "RJS1"
+    and no type byte around a {!Rcc_storage.Snapshot.encode} blob, the
+    checksum covering the whole blob, because [Snapshot.verify] pins the
+    chain but not the KV/reply bytes. *)
 
 type t
 

@@ -4,7 +4,10 @@ let no_faults = { torn = 0.0; corrupt = 0.0; lost = 0.0 }
 let uniform_faults p = { torn = p; corrupt = p; lost = p }
 
 type t = {
-  buf : Buffer.t;  (* journal area, append-only *)
+  mutable chunks : string list;
+      (* journal area, append-only: the stored records, newest first.
+         Records are kept as written (zero-copy); [journal] joins them. *)
+  mutable bytes : int;
   mutable slot_seq : int array;  (* -1 = slot empty *)
   mutable slot_blob : string array;
   rng : Rcc_common.Rng.t;
@@ -16,7 +19,8 @@ type t = {
 
 let create ~seed =
   {
-    buf = Buffer.create 4096;
+    chunks = [];
+    bytes = 0;
     slot_seq = [| -1; -1 |];
     slot_blob = [| ""; "" |];
     rng = Rcc_common.Rng.create seed;
@@ -45,6 +49,12 @@ let corrupt_record t record =
     Bytes.to_string b
   end
 
+let store t chunk =
+  if chunk <> "" then begin
+    t.chunks <- chunk :: t.chunks;
+    t.bytes <- t.bytes + String.length chunk
+  end
+
 let append t records =
   t.writes <- t.writes + 1;
   let rec go = function
@@ -60,7 +70,7 @@ let append t records =
           inject t "torn";
           let n = String.length record in
           let keep = if n <= 1 then 0 else Rcc_common.Rng.int t.rng n in
-          Buffer.add_substring t.buf record 0 keep
+          store t (String.sub record 0 keep)
         end
         else begin
           let record =
@@ -70,14 +80,24 @@ let append t records =
             end
             else record
           in
-          Buffer.add_string t.buf record;
+          store t record;
           go rest
         end
   in
   go records
 
-let journal t = Buffer.contents t.buf
-let journal_bytes t = Buffer.length t.buf
+(* Joined on demand (recovery, tests) and kept joined, so a second read
+   of an unchanged disk copies nothing. *)
+let journal t =
+  match t.chunks with
+  | [] -> ""
+  | [ whole ] -> whole
+  | chunks ->
+      let whole = String.concat "" (List.rev chunks) in
+      t.chunks <- [ whole ];
+      whole
+
+let journal_bytes t = t.bytes
 
 let write_snapshot t ~seq blob =
   t.writes <- t.writes + 1;

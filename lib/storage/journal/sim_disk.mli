@@ -40,10 +40,13 @@ val set_faults : t -> faults -> unit
 val append : t -> string list -> unit
 (** One group-commit flush: append the records in order, each subject to
     the fault model. A torn fault persists a strict prefix of the record
-    and discards the rest of the flush. *)
+    and discards the rest of the flush. Stored records are kept as
+    given, not copied. *)
 
 val journal : t -> string
-(** Everything the journal area currently holds, in append order. *)
+(** Everything the journal area currently holds, in append order. The
+    records are joined on this call (recovery reads the journal once),
+    not on every append. *)
 
 val journal_bytes : t -> int
 

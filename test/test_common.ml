@@ -269,6 +269,22 @@ let u64_roundtrip =
   qtest "u64: roundtrip" QCheck2.Gen.int64 (fun v ->
       Bytes_util.get_u64be (Bytes_util.u64_string v) 0 = v)
 
+(* Big-endian byte order, sign bit included: the layout every digest,
+   codec frame and journal record is built on. *)
+let test_fixed_width_layout () =
+  check Alcotest.string "u64 big-endian" "\x01\x02\x03\x04\x05\x06\x07\x08"
+    (Bytes_util.u64_string 0x0102030405060708L);
+  check Alcotest.string "u64 sign bit" "\xff\xff\xff\xff\xff\xff\xff\xfe"
+    (Bytes_util.u64_string (-2L));
+  let b = Bytes.make 6 '\x00' in
+  Bytes_util.put_u32be b 1 0x8a0b0c0dl;
+  check Alcotest.string "u32 big-endian at an offset" "\x00\x8a\x0b\x0c\x0d\x00"
+    (Bytes.to_string b);
+  check Alcotest.int32 "u32 read back" 0x8a0b0c0dl
+    (Bytes_util.get_u32be (Bytes.to_string b) 1);
+  check Alcotest.int64 "u64 read at an offset" 0x0203040506070809L
+    (Bytes_util.get_u64be "\x01\x02\x03\x04\x05\x06\x07\x08\x09" 1)
+
 let test_xor () =
   check Alcotest.string "xor self is zero"
     (String.make 4 '\x00')
@@ -298,6 +314,7 @@ let suite =
       Alcotest.test_case "histogram midpoint" `Quick test_histogram_midpoint;
       Alcotest.test_case "series buckets" `Quick test_series_buckets;
       hex_roundtrip;
+      Alcotest.test_case "fixed-width layout" `Quick test_fixed_width_layout;
       u64_roundtrip;
       Alcotest.test_case "xor" `Quick test_xor;
     ] )

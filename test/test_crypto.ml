@@ -56,6 +56,15 @@ let sha_incremental =
       Sha256.finalize ctx = Sha256.digest (String.concat "" parts)
       && Sha256.digest_list parts = Sha256.digest (String.concat "" parts))
 
+let sha_sub =
+  qtest "sha256: digest_sub = digest of the substring"
+    QCheck2.Gen.(triple (string_size (int_range 0 300)) nat nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      Sha256.digest_sub s ~off ~len = Sha256.digest (String.sub s off len))
+
 let sha_distinct =
   qtest "sha256: injective on samples" QCheck2.Gen.(pair string string)
     (fun (a, b) -> a = b || Sha256.digest a <> Sha256.digest b)
@@ -241,6 +250,7 @@ let suite =
     [
       Alcotest.test_case "sha256 FIPS vectors" `Quick test_sha256_vectors;
       sha_incremental;
+      sha_sub;
       sha_distinct;
       Alcotest.test_case "hmac RFC 4231" `Quick test_hmac_rfc4231;
       hmac_verify_props;

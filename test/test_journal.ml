@@ -3,7 +3,11 @@
    recovery — a QCheck property that journal replay reproduces in-memory
    execution at random crash points, and a torn/corrupt/lost sweep
    proving every injected fault truncates the replay to a valid prefix,
-   never silently diverging from the clean history. *)
+   never silently diverging from the clean history. The record layout's
+   two-level check (frame checksum over the envelope, batch digests over
+   the txn tail) gets targeted byte flips, a table of fault outcomes
+   pinned across layout changes, and a property over live clusters that
+   every logged batch's txns hash to its digest. *)
 
 module Engine = Rcc_sim.Engine
 module Costs = Rcc_sim.Costs
@@ -18,6 +22,8 @@ module Acceptance = Rcc_replica.Acceptance
 module Txn = Rcc_workload.Txn
 module Rng = Rcc_common.Rng
 module Keychain = Rcc_crypto.Keychain
+module Config = Rcc_runtime.Config
+module Cluster = Rcc_runtime.Cluster
 
 let check = Alcotest.check
 
@@ -163,6 +169,27 @@ let test_disk_snapshot_slots () =
     "lost snapshot write leaves slots intact"
     [ (384, "CCCC"); (256, "BBBB") ]
     (Sim_disk.snapshots disk)
+
+(* The journal area is exactly what landed, also when a flush tears. *)
+let test_disk_torn_bytes () =
+  let disk = Sim_disk.create ~seed:11 in
+  Sim_disk.append disk [ "first-record"; "second" ];
+  Sim_disk.set_faults disk { Sim_disk.torn = 1.0; corrupt = 0.0; lost = 0.0 };
+  Sim_disk.append disk [ "torn-record-payload"; "never-lands" ];
+  Sim_disk.set_faults disk Sim_disk.no_faults;
+  Sim_disk.append disk [ "after" ];
+  check Alcotest.(list string) "one tear" [ "torn" ] (Sim_disk.fault_log disk);
+  let journal = Sim_disk.journal disk in
+  check Alcotest.int "journal_bytes = length of the stored bytes"
+    (String.length journal) (Sim_disk.journal_bytes disk);
+  check Alcotest.bool "a strict prefix of the torn record landed" true
+    (String.length journal < String.length "first-recordsecondtorn-record-payloadafter");
+  check Alcotest.bool "stored bytes are clean prefix + tear + later flush"
+    true
+    (String.starts_with ~prefix:"first-recordsecond" journal
+    && String.ends_with ~suffix:"after" journal);
+  check Alcotest.string "re-reading an unchanged disk is stable" journal
+    (Sim_disk.journal disk)
 
 (* --- group commit ------------------------------------------------------- *)
 
@@ -322,6 +349,119 @@ let test_snapshot_plus_suffix () =
   check Alcotest.string "state still correct" (Kv.state_digest store)
     (Kv.state_digest store3)
 
+(* --- record checks: envelope checksum, tail digests ---------------------- *)
+
+(* Journal [rounds] on an honest disk, one flush per round, returning the
+   byte offset each record's frame ends at. Round 0 also carries the view
+   record that precedes it. *)
+let record_ends rounds =
+  let engine = Engine.create () in
+  let disk = Sim_disk.create ~seed:9 in
+  let j = Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 () in
+  let ends =
+    List.map
+      (fun (round, slots) ->
+        Journal.log_round j ~round ~primaries slots;
+        Engine.run engine ~until:(Engine.now engine + Engine.ms 10);
+        Sim_disk.journal_bytes disk)
+      rounds
+  in
+  (Sim_disk.journal disk, Array.of_list ends)
+
+let flip s pos =
+  let b = Bytes.of_string s in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
+  Bytes.to_string b
+
+let recover_bytes bytes =
+  let disk = Sim_disk.create ~seed:0 in
+  Sim_disk.append disk [ bytes ];
+  recover_fresh disk
+
+(* The record frame header: magic, type, u64 body length, checksum. *)
+let frame_header = 4 + 1 + 8 + 8
+
+let test_tail_flip_rejected () =
+  let rounds = mk_rounds ~seed:71 6 in
+  let journal, ends = record_ends rounds in
+  let target = 3 in
+  let start = ends.(target - 1) in
+  let txns =
+    Array.fold_left
+      (fun acc (a : Acceptance.t) -> acc + Array.length a.Acceptance.batch.Batch.txns)
+      0 (snd (List.nth rounds target))
+  in
+  (* The tail is the record's last [24 * txns] bytes; flip a byte of the
+     last txn's value, which still decodes, so only the batch digest can
+     refute it. *)
+  let pos = ends.(target) - 5 in
+  check Alcotest.bool "flipped byte lies in the txn tail" true
+    (pos >= ends.(target) - (Txn.encoded_size * txns));
+  let bad = flip journal pos in
+  check Alcotest.string
+    "header and envelope untouched, so the checksum still matches"
+    (String.sub journal start (pos - start))
+    (String.sub bad start (pos - start));
+  let rv, ledger, store, _ = recover_bytes bad in
+  check Alcotest.int "replay stops at the flipped record" target
+    rv.Journal.r_frontier;
+  check Alcotest.int "everything from that record on is dropped"
+    (String.length journal - start) rv.Journal.r_dropped_bytes;
+  check Alcotest.bool "chain validates" true
+    (Result.is_ok (Ledger.validate ledger));
+  check Alcotest.string "state is the clean prefix"
+    (Kv.state_digest
+       (oracle_store (List.filter (fun (r, _) -> r < target) rounds)))
+    (Kv.state_digest store)
+
+let test_envelope_flip_rejected () =
+  let rounds = mk_rounds ~seed:72 6 in
+  let journal, ends = record_ends rounds in
+  let target = 2 in
+  let start = ends.(target - 1) in
+  (* Byte 4 of the big-endian round number: the body still parses, as a
+     record for round [target + 2^30], which only the checksum refutes. *)
+  let bad = flip journal (start + frame_header + 4) in
+  let rv, _, _, _ = recover_bytes bad in
+  check Alcotest.int "replay stops at the flipped record" target
+    rv.Journal.r_frontier;
+  check Alcotest.int "everything from that record on is dropped"
+    (String.length journal - start) rv.Journal.r_dropped_bytes;
+  (* A flip in the checksum itself is caught the same way. *)
+  let bad = flip journal (start + frame_header - 1) in
+  let rv, _, _, _ = recover_bytes bad in
+  check Alcotest.int "checksum flip truncates there too" target
+    rv.Journal.r_frontier;
+  let rv, _, _, _ = recover_bytes journal in
+  check Alcotest.int "the clean journal replays in full" 6 rv.Journal.r_frontier
+
+(* Snapshot slots hold [magic | u64 length | 8-byte SHA-256 prefix |
+   Snapshot.encode]: the blob format recovery and older disks rely on. *)
+let test_snapshot_blob_layout () =
+  let engine = Engine.create () in
+  let disk = Sim_disk.create ~seed:12 in
+  let rounds = mk_rounds ~seed:73 4 in
+  let j = log_and_flush ~engine ~disk rounds in
+  let _, ledger, store, _ = recover_fresh disk in
+  let snap =
+    { Snapshot.seq = 4; blocks = Ledger.prefix ledger ~upto:4;
+      kv = Some (Kv.entries store); replied = [] }
+  in
+  Journal.write_snapshot j ~seq:4 snap;
+  Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
+  let body = Snapshot.encode snap in
+  let expected =
+    String.concat ""
+      [
+        "RJS1";
+        Rcc_common.Bytes_util.u64_string (Int64.of_int (String.length body));
+        String.sub (Rcc_crypto.Sha256.digest body) 0 8;
+        body;
+      ]
+  in
+  check Alcotest.(list (pair int string)) "slot holds the framed snapshot"
+    [ (4, expected) ] (Sim_disk.snapshots disk)
+
 (* --- fault sweep: detected or truncated, never divergent ---------------- *)
 
 let test_fault_sweep () =
@@ -360,6 +500,133 @@ let test_fault_sweep () =
   check Alcotest.bool "at least one recovery was truncated" true
     (!truncations > 0)
 
+(* The recovery verdict per fault row — (frontier, dropped bytes, rounds
+   replayed) — pinned to the values the previous record layout produced.
+   A layout change may move bytes around inside a record, but every
+   record keeps its length and every fault must still be caught at the
+   same record, so each row must come out exactly the same. *)
+let fault_modes =
+  [
+    ("torn", fun p -> { Sim_disk.torn = p; corrupt = 0.0; lost = 0.0 });
+    ("corrupt", fun p -> { Sim_disk.torn = 0.0; corrupt = p; lost = 0.0 });
+    ("lost", fun p -> { Sim_disk.torn = 0.0; corrupt = 0.0; lost = p });
+    ("all", Sim_disk.uniform_faults);
+  ]
+
+(* (mode, rate, disk seed) -> (frontier, dropped bytes, replayed rounds) *)
+let pinned_outcomes =
+  [
+    (("torn", 0.02, 301), (8, 256, 8));
+    (("torn", 0.02, 302), (40, 0, 40));
+    (("torn", 0.02, 303), (38, 413, 38));
+    (("torn", 0.05, 301), (8, 256, 8));
+    (("torn", 0.05, 302), (40, 0, 40));
+    (("torn", 0.05, 303), (5, 305, 5));
+    (("torn", 0.10, 301), (7, 160, 7));
+    (("torn", 0.10, 302), (7, 58, 7));
+    (("torn", 0.10, 303), (5, 305, 5));
+    (("torn", 0.30, 301), (0, 444, 0));
+    (("torn", 0.30, 302), (0, 27, 0));
+    (("torn", 0.30, 303), (0, 10, 0));
+    (("corrupt", 0.02, 301), (8, 16592, 8));
+    (("corrupt", 0.02, 302), (40, 0, 40));
+    (("corrupt", 0.02, 303), (38, 1070, 38));
+    (("corrupt", 0.05, 301), (8, 16592, 8));
+    (("corrupt", 0.05, 302), (40, 0, 40));
+    (("corrupt", 0.05, 303), (5, 18125, 5));
+    (("corrupt", 0.10, 301), (7, 17103, 7));
+    (("corrupt", 0.10, 302), (7, 17103, 7));
+    (("corrupt", 0.10, 303), (5, 18125, 5));
+    (("corrupt", 0.30, 301), (0, 20752, 0));
+    (("corrupt", 0.30, 302), (0, 20752, 0));
+    (("corrupt", 0.30, 303), (0, 20797, 0));
+    (("lost", 0.02, 301), (8, 0, 8));
+    (("lost", 0.02, 302), (40, 0, 40));
+    (("lost", 0.02, 303), (38, 0, 38));
+    (("lost", 0.05, 301), (8, 0, 8));
+    (("lost", 0.05, 302), (40, 0, 40));
+    (("lost", 0.05, 303), (5, 0, 5));
+    (("lost", 0.10, 301), (7, 0, 7));
+    (("lost", 0.10, 302), (7, 0, 7));
+    (("lost", 0.10, 303), (5, 0, 5));
+    (("lost", 0.30, 301), (0, 0, 0));
+    (("lost", 0.30, 302), (0, 0, 0));
+    (("lost", 0.30, 303), (0, 0, 0));
+    (("all", 0.02, 301), (2, 0, 2));
+    (("all", 0.02, 302), (13, 438, 13));
+    (("all", 0.02, 303), (12, 13454, 12));
+    (("all", 0.05, 301), (2, 405, 2));
+    (("all", 0.05, 302), (13, 438, 13));
+    (("all", 0.05, 303), (1, 230, 1));
+    (("all", 0.10, 301), (1, 3195, 1));
+    (("all", 0.10, 302), (1, 10240, 1));
+    (("all", 0.10, 303), (1, 230, 1));
+    (("all", 0.30, 301), (0, 34, 0));
+    (("all", 0.30, 302), (0, 22, 0));
+    (("all", 0.30, 303), (0, 247, 0));
+  ]
+
+let test_fault_outcomes_pinned () =
+  let rounds = mk_rounds ~seed:61 40 in
+  List.iter
+    (fun ((mode, p, seed), expected) ->
+      let disk = Sim_disk.create ~seed in
+      Sim_disk.set_faults disk ((List.assoc mode fault_modes) p);
+      ignore (log_and_flush ~engine:(Engine.create ()) ~disk rounds);
+      let rv, _, _, _ = recover_fresh disk in
+      check
+        Alcotest.(triple int int int)
+        (Printf.sprintf "%s p=%.2f seed %d: frontier, dropped, replayed" mode
+           p seed)
+        expected
+        ( rv.Journal.r_frontier,
+          rv.Journal.r_dropped_bytes,
+          rv.Journal.r_replayed_rounds ))
+    pinned_outcomes
+
+(* What the scan's tail check relies on: every acceptance a live replica
+   logs with txns carries the SHA-256 of exactly their encodings as its
+   digest. A logged batch breaking it would fail that check and surface
+   as dropped bytes on an honest disk. So every disk must scan clean, and
+   a disk without speculative rounds must replay to its durable frontier
+   (a replica kept in the dark may have logged nothing). *)
+let prop_logged_digests =
+  qtest ~count:8 "logged batches hash to their digests"
+    QCheck2.Gen.(
+      triple (int_range 1 10_000)
+        (oneofl [ Config.MultiP; Config.MultiZ; Config.MultiC ])
+        (oneofl
+           [
+             Config.No_fault;
+             Config.Dark { instance = 0; victims = [ 3 ] };
+             Config.Client_dos { instance = 1 };
+           ]))
+    (fun (seed, protocol, fault) ->
+      let cfg =
+        Config.make ~protocol ~n:4 ~batch_size:10 ~clients:40 ~records:5_000
+          ~duration:(Engine.of_seconds 0.3) ~warmup:(Engine.of_seconds 0.05)
+          ~fault ~seed ~journal:true ()
+      in
+      let cluster = Cluster.build cfg in
+      ignore (Cluster.run cluster);
+      let replicas = List.init cfg.Config.n Fun.id in
+      let durable r =
+        Journal.durable_round (Option.get (Cluster.journal_of cluster r))
+      in
+      List.exists (fun r -> durable r > 0) replicas
+      && List.for_all
+           (fun r ->
+             let ledger, store, txn_table = fresh_state () in
+             let rv =
+               Journal.recover ~engine:(Engine.create ()) ~self:r
+                 ~disk:(Cluster.disk cluster r) ~ledger ~store ~txn_table
+                 ~primaries ~materialize:false ()
+             in
+             rv.Journal.r_dropped_bytes = 0
+             && (protocol = Config.MultiZ
+                || rv.Journal.r_frontier = durable r + 1))
+           replicas)
+
 (* --- QCheck: random crash points ---------------------------------------- *)
 
 let prop_crash_point =
@@ -394,6 +661,8 @@ let suite =
       Alcotest.test_case "sim-disk determinism" `Quick test_disk_determinism;
       Alcotest.test_case "sim-disk snapshot slots" `Quick
         test_disk_snapshot_slots;
+      Alcotest.test_case "sim-disk torn write bytes" `Quick
+        test_disk_torn_bytes;
       Alcotest.test_case "group commit crash" `Quick test_group_commit_crash;
       Alcotest.test_case "replay matches execution" `Quick
         test_replay_matches_execution;
@@ -401,6 +670,15 @@ let suite =
       Alcotest.test_case "unproven speculation truncates" `Quick
         test_replay_stops_at_unproven_speculation;
       Alcotest.test_case "snapshot + suffix" `Quick test_snapshot_plus_suffix;
+      Alcotest.test_case "tail flip fails its batch digest" `Quick
+        test_tail_flip_rejected;
+      Alcotest.test_case "envelope flip fails the checksum" `Quick
+        test_envelope_flip_rejected;
+      Alcotest.test_case "snapshot blob layout" `Quick
+        test_snapshot_blob_layout;
       Alcotest.test_case "fault sweep never diverges" `Quick test_fault_sweep;
+      Alcotest.test_case "fault outcomes pinned" `Quick
+        test_fault_outcomes_pinned;
       prop_crash_point;
+      prop_logged_digests;
     ] )
